@@ -1,15 +1,13 @@
 """The fidelint engine: load, run rules, fold in suppressions + baseline.
 
-The run is structured so serial and ``jobs=N`` analysis are *the same
-computation*: a shard-safe worker (:func:`_analyze_worker`) produces
-raw findings — line text, occurrence counter and suppression flag all
-resolved, everything module-local — for a contiguous chunk of modules,
-and the parent folds the concatenated stream through the baseline and
-sorts.  Occurrence counters (the fingerprint disambiguator) are keyed
-per ``(rule, module, line text)``, so per-module sharding cannot
-perturb them, and the merged findings digest is byte-identical
-whatever ``jobs`` was — the same contract ``repro.runner`` makes for
-the simulator's own work, checked in CI for fidelint itself.
+One run is one serial pass: :meth:`Project.load` parses the tree,
+:func:`_prepare_capabilities` builds the project-wide dataflow state the
+selected rules need, :func:`_raw_findings` runs every rule over every
+module in sorted order, and :func:`analyze` folds the stream through
+the baseline and sorts.  Occurrence counters (the fingerprint
+disambiguator) are keyed per ``(rule, module, line text)``, so a
+finding's fingerprint does not depend on which other modules or rules
+were in the run.
 """
 
 from collections import Counter
@@ -31,11 +29,6 @@ class AnalysisResult:
     stale_baseline: list = field(default_factory=list)  # unmatched entries
     modules_scanned: int = 0
     rules_run: int = 0
-    #: incremental-cache counters (None on uncached runs).  Deliberately
-    #: NOT part of :meth:`to_dict`: the findings digest must be
-    #: byte-identical between cold, warm and uncached runs, and hit/miss
-    #: ratios obviously differ between them.
-    cache_stats: dict = field(default=None, compare=False)
 
     @property
     def error_count(self):
@@ -75,8 +68,7 @@ class AnalysisResult:
 
 
 def findings_digest(result):
-    """Canonical SHA-256 over the full result dict — the key CI
-    compares between ``--jobs N`` and serial runs."""
+    """Canonical SHA-256 over the full result dict."""
     from repro.runner.merge import digest
     return digest(result.to_dict())
 
@@ -101,139 +93,42 @@ def _prepare_capabilities(project, rules):
         project.dataflow.effects
 
 
-def _assign_occurrences(raw):
-    """(Re)number occurrence counters over an ordered finding stream.
-    The key is module-local and intra-module order is deterministic,
-    so the numbering is identical whether findings came from one
-    process, N shards, or the incremental cache — idempotent by
-    construction."""
-    occurrences = Counter()
-    for finding in raw:
-        key = (finding.rule_id, finding.module, finding.line_text)
-        finding.occurrence = occurrences[key]
-        occurrences[key] += 1
-    return raw
-
-
-def _raw_findings(project, rules, module_names):
-    """Raw findings for a subset of modules, in deterministic order,
-    with line text, occurrence counter and suppression flag resolved.
-    Everything here is module-local, which is what makes per-module
-    sharding exact."""
+def _raw_findings(project, rules):
+    """Raw findings for every module, in deterministic order, with line
+    text, occurrence counter and suppression flag resolved."""
     raw = []
-    for name in module_names:
-        module = project.modules[name]
+    occurrences = Counter()
+    for module in project.sorted_modules():
         for rule_obj in rules:
             for finding in rule_obj.run(module, project):
                 finding.line_text = module.line_text(finding.line)
                 finding.suppressed = module.is_suppressed(
                     finding.rule_id, finding.line)
+                key = (finding.rule_id, finding.module, finding.line_text)
+                finding.occurrence = occurrences[key]
+                occurrences[key] += 1
                 raw.append(finding)
-    return _assign_occurrences(raw)
+    return raw
 
 
-def _analyze_worker(root, module_names, select, cache_dir=None):
-    """Shard worker: findings for one chunk of modules.
-
-    Module-level and picklable on purpose — it is submitted to
-    ``repro.runner`` as a :class:`WorkUnit`, which also makes it
-    subject to fidelint's own FID013 shard-purity rule: it loads a
-    fresh project per chunk (summaries are project-wide) precisely so
-    it needs no process-global caching.
-
-    Returns ``(raw_findings, cache_stats_or_None)``.  With a cache the
-    worker computes keys for *every* module (keys need the whole-tree
-    graph anyway) but serves/recomputes only its own chunk.
-    """
-    project = Project.load(root)
-    rules = _select_rules(all_rules(), select)
-    if cache_dir:
-        from repro.analysis.cache import run_cached
-        raw, cache = run_cached(project, rules, select, cache_dir,
-                                module_subset=module_names)
-        return _assign_occurrences(raw), cache.stats()
-    _prepare_capabilities(project, rules)
-    return _raw_findings(project, rules, list(module_names)), None
-
-
-def _chunk(names, jobs):
-    count = max(1, min(jobs, len(names)))
-    size, extra = divmod(len(names), count)
-    out, start = [], 0
-    for index in range(count):
-        end = start + size + (1 if index < extra else 0)
-        if start < end:
-            out.append(tuple(names[start:end]))
-        start = end
-    return out
-
-
-def _parallel_raw(root, module_names, select, jobs, cache_dir=None,
-                  reuse_workers=True):
-    from repro.runner import WorkUnit, execute
-    chunks = _chunk(module_names, jobs)
-    if not chunks:
-        return [], None
-    units = [WorkUnit.of(("modules", index), _analyze_worker,
-                         root, chunk, select, cache_dir)
-             for index, chunk in enumerate(chunks)]
-    report = execute(units, jobs=jobs, reuse_workers=reuse_workers)
-    raw, stats = [], None
-    for chunk_findings, chunk_stats in report.values():
-        raw.extend(chunk_findings)
-        if chunk_stats is not None:
-            if stats is None:
-                stats = dict.fromkeys(chunk_stats, 0)
-            for key, value in chunk_stats.items():
-                stats[key] += value
-    return _assign_occurrences(raw), stats
-
-
-def analyze(root, rules=None, baseline_path=None, select=None, jobs=1,
-            cache_dir=None, reuse_workers=True):
+def analyze(root, rules=None, baseline_path=None, select=None):
     """Analyze the tree under ``root`` and return an AnalysisResult.
 
-    ``select`` limits the run to an iterable of rule ids;
-    ``baseline_path`` points at the committed baseline (None = none);
-    ``jobs > 1`` shards the analysis over worker processes via
-    ``repro.runner`` (registry rules only — a custom ``rules`` list is
-    not picklable and forces the serial path).  ``cache_dir`` enables
-    the sound incremental cache (:mod:`repro.analysis.cache`; registry
-    rules only — a custom rules list is invisible to the cache key).
-    Output is byte-identical whatever ``jobs`` or the cache state was.
+    ``root`` is a directory or an already loaded :class:`Project`;
+    ``rules`` replaces the registry's rules (tests use it for custom
+    rules); ``select`` limits the run to an iterable of rule ids;
+    ``baseline_path`` points at the committed baseline (None = none).
     """
-    custom_rules = rules is not None
     project = root if isinstance(root, Project) else Project.load(root)
-    rules = list(rules if custom_rules else all_rules())
-    select_normalized = None
-    if select:
-        select_normalized = tuple(sorted(
-            rule_id.upper() for rule_id in select))
-    rules = _select_rules(rules, select_normalized)
-    if custom_rules:
-        cache_dir = None
-
-    module_names = sorted(project.modules)
-    cache_stats = None
-    if jobs and jobs > 1 and not custom_rules:
-        raw, cache_stats = _parallel_raw(
-            project.root, module_names, select_normalized, jobs,
-            cache_dir, reuse_workers=reuse_workers)
-    elif cache_dir:
-        from repro.analysis.cache import run_cached
-        raw, cache = run_cached(project, rules, select_normalized,
-                                cache_dir)
-        _assign_occurrences(raw)
-        cache_stats = cache.stats()
-    else:
-        _prepare_capabilities(project, rules)
-        raw = _raw_findings(project, rules, module_names)
+    rules = _select_rules(list(all_rules() if rules is None else rules),
+                          select)
+    _prepare_capabilities(project, rules)
+    raw = _raw_findings(project, rules)
 
     baseline = load_baseline(baseline_path)
     matched_fingerprints = set()
     result = AnalysisResult(
-        modules_scanned=len(project.modules), rules_run=len(rules),
-        cache_stats=cache_stats)
+        modules_scanned=len(project.modules), rules_run=len(rules))
 
     for finding in raw:
         if finding.suppressed:

@@ -44,7 +44,7 @@ LAYERS = {
     # nothing imports it back.
     "faults": 9,
     # fidelint is tooling *over* the whole tree, imported by nothing in
-    # src; it sits on top so it may reuse the runner for --jobs without
+    # src; it sits on top so it may reuse the runner's digest without
     # a back-edge, while no simulator layer may reach up into it.
     "analysis": 10,
 }

@@ -209,7 +209,15 @@ class Cloud:
         A host that fails is quarantined on the spot — fail closed: a
         single bad quote mid-operation removes the host from the
         placement pool until an operator investigates.
+
+        An index outside the fleet raises ``ReproError`` before any
+        state changes; ``launch_tenant``, ``migrate_tenant`` and
+        ``lift_quarantine`` rely on this check (a negative index would
+        otherwise alias a real host).
         """
+        if index not in range(len(self.hosts)):
+            raise ReproError("no host %r in a %d-host cloud"
+                             % (index, len(self.hosts)))
         if index in self.quarantined:
             return False
         host = self.hosts[index]

@@ -8,6 +8,8 @@ the stale entry from ``fidelint.baseline.json``).
 
 import os
 
+import pytest
+
 from repro.analysis import analyze
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -16,8 +18,14 @@ SRC_ROOT = os.path.join(REPO_ROOT, "src")
 BASELINE = os.path.join(REPO_ROOT, "fidelint.baseline.json")
 
 
-def test_live_tree_is_clean_modulo_baseline():
-    result = analyze(SRC_ROOT, baseline_path=BASELINE)
+@pytest.fixture(scope="module")
+def result():
+    """One full live-tree run shared by every test here; the tests only
+    read it."""
+    return analyze(SRC_ROOT, baseline_path=BASELINE)
+
+
+def test_live_tree_is_clean_modulo_baseline(result):
     assert not result.findings, "\n".join(
         f.render() for f in result.findings)
     assert not result.stale_baseline, (
@@ -25,16 +33,14 @@ def test_live_tree_is_clean_modulo_baseline():
     assert result.exit_code(strict=True) == 0
 
 
-def test_live_tree_scans_the_whole_package():
-    result = analyze(SRC_ROOT, baseline_path=BASELINE)
+def test_live_tree_scans_the_whole_package(result):
     assert result.rules_run == 16
     assert result.modules_scanned >= 85
 
 
-def test_baseline_entries_all_match():
+def test_baseline_entries_all_match(result):
     # Every baseline entry corresponds to a real current finding: the
     # grandfathered set can only shrink, never silently grow stale.
-    result = analyze(SRC_ROOT, baseline_path=BASELINE)
     assert len(result.baselined) >= 1
     for finding in result.baselined:
         assert finding.rule_id == "FID001"

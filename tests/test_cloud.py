@@ -350,3 +350,38 @@ class TestQuarantineLiftAudit:
         assert cloud.lift_quarantine(0)
         assert cloud.event_kinds()[-1] == "quarantine-lifted"
         assert not cloud.quarantined
+
+
+@pytest.fixture(scope="module")
+def occupied_cloud():
+    cloud = Cloud(hosts=2, frames=2048, seed=0x1DE7)
+    tenant = cloud.launch_tenant("resident", GuestOwner(seed=40))
+    tenant.ctx.hypercall(hc.HC_SCHED_YIELD)
+    return cloud
+
+
+class TestHostIndexBounds:
+    """A host index outside ``range(len(hosts))`` is refused before any
+    state changes; a negative index must not alias the last host."""
+
+    ENTRY_POINTS = {
+        "launch_tenant": lambda cloud, index: cloud.launch_tenant(
+            "stray", GuestOwner(seed=41), host_index=index),
+        "migrate_tenant": lambda cloud, index: cloud.migrate_tenant(
+            "resident", to_host_index=index),
+        "attest_host": lambda cloud, index: cloud.attest_host(index),
+        "lift_quarantine": lambda cloud, index: cloud.lift_quarantine(index),
+    }
+
+    @pytest.mark.parametrize("bad", ["negative", "past-end"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_out_of_range_index_is_refused_without_side_effects(
+            self, occupied_cloud, entry, bad):
+        cloud = occupied_cloud
+        index = -1 if bad == "negative" else len(cloud.hosts)
+        before = (cloud.inventory(), list(cloud._loads),
+                  list(cloud._load_index))
+        with pytest.raises(ReproError):
+            self.ENTRY_POINTS[entry](cloud, index)
+        assert (cloud.inventory(), cloud._loads,
+                cloud._load_index) == before

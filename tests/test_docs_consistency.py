@@ -7,6 +7,7 @@ docs/paper_map.md and the README honest against the actual tree.
 import importlib
 import os
 import re
+import shlex
 
 import pytest
 
@@ -87,6 +88,32 @@ class TestReadme:
         import repro
         assert hasattr(repro, "System")
         assert hasattr(repro, "GuestOwner")
+
+
+class TestFidelintCommandLines:
+    """Every ``python -m repro.analysis ...`` line the docs quote must
+    parse, so a removed flag can never be advertised again."""
+
+    @staticmethod
+    def _command_lines(text):
+        for match in re.finditer(
+                r"python -m repro\.analysis(?![\w.])([^`\n]*)", text):
+            tokens = shlex.split(match.group(1), comments=True)
+            if "|" in tokens:
+                tokens = tokens[:tokens.index("|")]
+            yield match.group(0), tokens
+
+    @pytest.mark.parametrize("doc", ["README.md", "docs/static_analysis.md"])
+    def test_quoted_command_lines_parse(self, doc):
+        from repro.analysis.cli import build_parser
+        commands = list(self._command_lines(_read(*doc.split("/"))))
+        assert commands, "no fidelint command lines found in %s" % doc
+        for line, tokens in commands:
+            try:
+                build_parser().parse_args(tokens)
+            except SystemExit:
+                pytest.fail("%s quotes an invalid command line: %s"
+                            % (doc, line))
 
 
 class TestExamplesAreImportable:
